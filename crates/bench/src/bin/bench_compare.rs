@@ -123,7 +123,23 @@ fn append_history(path: &std::path::Path, entry: &str) {
 }
 
 fn main() {
-    let flags = Flags::from_env();
+    let flags = Flags::from_env(&[
+        "baseline",
+        "history",
+        "max-regress-pct",
+        "frames",
+        "mode",
+        "temporal-baseline",
+        "scenario-dir",
+        "max-iou-drop",
+        "max-energy-regress-pct",
+        "serve-baseline",
+        "max-serve-regress-pct",
+        "chaos-baseline",
+        "max-recovery-frames",
+        "recover-baseline",
+        "max-replay-frames",
+    ]);
     let baseline_path = flags.value_of("baseline").unwrap_or("results/BENCH_pipeline.json");
     let history_path = flags.value_of("history").unwrap_or("results/BENCH_history.json");
     let max_regress_pct: f64 = flags.parsed("max-regress-pct").unwrap_or(15.0);

@@ -24,7 +24,7 @@ use hirise_bench::args::Flags;
 use hirise_bench::stages::{measure, StageBenchConfig};
 
 fn main() {
-    let flags = Flags::from_env();
+    let flags = Flags::from_env(&["width", "height", "k", "frames", "mode", "out"]);
     let defaults = StageBenchConfig::default();
     let config = StageBenchConfig {
         width: flags.parsed("width").unwrap_or(defaults.width),

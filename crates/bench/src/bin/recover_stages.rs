@@ -21,7 +21,7 @@ use hirise_bench::args::{Flags, RunSize};
 use hirise_bench::recover::{measure, RecoverBenchConfig};
 
 fn main() {
-    let flags = Flags::from_env();
+    let flags = Flags::from_env(&["out", "sessions", "frames"]);
     let size = flags.run_size();
     let out = flags.value_of("out").unwrap_or("results/BENCH_recover.json");
 

@@ -25,7 +25,7 @@ use hirise_bench::args::{Flags, RunSize};
 use hirise_bench::scenario::{measure, scenario_matrix};
 
 fn main() {
-    let flags = Flags::from_env();
+    let flags = Flags::from_env(&["scenario", "out-dir"]);
     let filter = flags.value_of("scenario");
     let quick = flags.run_size() == RunSize::Quick;
     let out_dir = std::path::Path::new(flags.value_of("out-dir").unwrap_or("results/scenarios"));

@@ -20,7 +20,7 @@ use hirise_bench::args::Flags;
 use hirise_bench::video::{measure, VideoBenchConfig};
 
 fn main() {
-    let flags = Flags::from_env();
+    let flags = Flags::from_env(&["width", "height", "k", "frames", "interval", "mode", "out"]);
     let defaults = VideoBenchConfig::default();
     let config = VideoBenchConfig {
         width: flags.parsed("width").unwrap_or(defaults.width),

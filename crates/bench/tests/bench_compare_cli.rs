@@ -123,3 +123,45 @@ fn a_corrupt_recovery_baseline_exits_two_before_measuring() {
     assert_clean_config_error(&output, "replay_budget_frames");
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn an_unknown_flag_exits_two_with_usage_before_measuring() {
+    let output = Command::new(env!("CARGO_BIN_EXE_bench_compare"))
+        .args(["--quick", "--max-regress", "75"])
+        .output()
+        .expect("bench_compare binary runs");
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert_eq!(output.status.code(), Some(2), "stderr: {stderr}");
+    assert!(stderr.contains("unknown argument \"--max-regress\""), "got: {stderr}");
+    assert!(stderr.contains("usage: bench_compare") && stderr.contains("--max-regress-pct"));
+    assert!(!stderr.contains("panicked"), "got: {stderr}");
+}
+
+#[test]
+fn help_prints_usage_and_writes_no_baseline() {
+    // `--help` once ran the full bench and overwrote the committed
+    // baseline at the default `results/` path: run from an empty
+    // directory and check nothing appears there.
+    let dir = scratch_dir("help");
+    for (bin, flag) in [
+        (env!("CARGO_BIN_EXE_pipeline_stages"), "--width <value>"),
+        (env!("CARGO_BIN_EXE_serve_stages"), "--sessions <value>"),
+        (env!("CARGO_BIN_EXE_fig7"), "[--quick | --full]"),
+    ] {
+        let output =
+            Command::new(bin).arg("--help").current_dir(&dir).output().expect("binary runs");
+        let stdout = String::from_utf8_lossy(&output.stdout);
+        assert_eq!(output.status.code(), Some(0), "{bin}: {stdout}");
+        assert!(stdout.starts_with("usage: ") && stdout.contains(flag), "{bin}: {stdout}");
+        assert!(!dir.join("results").exists(), "{bin} --help wrote results");
+    }
+    // A bare run-size binary refuses flags it does not take.
+    let output = Command::new(env!("CARGO_BIN_EXE_fig7"))
+        .arg("--width=640")
+        .current_dir(&dir)
+        .output()
+        .expect("fig7 runs");
+    assert_eq!(output.status.code(), Some(2));
+    assert!(!dir.join("results").exists());
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -1,4 +1,13 @@
-//! A persistent row-shard worker pool for intra-frame parallelism.
+//! A persistent worker pool: row shards within a frame, and whole
+//! sessions within a serve tick.
+//!
+//! The pool runs `f(0..shards)` on its workers and the calling thread,
+//! each claiming the next shard index. It has two users. The sensor
+//! splits one capture/pool/digitise pass into row bands (below). The
+//! serve engine (`hirise-serve`) runs one shard per serve participant,
+//! each draining sessions it claims in slot order. In both the pool
+//! outlives the job, so dispatch spawns no thread and allocates
+//! nothing.
 //!
 //! Keyed-mode noise is a pure function of position
 //! ([`crate::noise::NoiseRngMode::Keyed`]), so the row bands of one

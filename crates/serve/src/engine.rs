@@ -10,8 +10,10 @@
 //! load ratio `active / rated_sessions`, and lets every session move
 //! this tick's frame arrivals into its bounded queue, stamping each
 //! queued frame with the session's current shed level. Between ticks,
-//! [`ServeEngine::serve`] (or [`ServeEngine::serve_parallel`]) drains
-//! the queues round-robin, `quantum` frames per session per round.
+//! [`ServeEngine::serve`] drains the queues round-robin on the calling
+//! thread, `quantum` frames per session per round;
+//! [`ServeEngine::serve_parallel`] drains them on a persistent worker
+//! pool, each participant claiming the next live session in slot order.
 //!
 //! # Determinism
 //!
@@ -31,9 +33,11 @@
 //! to later ticks. [`ServeSummary::dropped`] exists to pin that
 //! contract at 0 in every report.
 
-use std::sync::Arc;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, PoisonError};
 
-use hirise::{HiriseConfig, HiriseError, PipelineScratch, Result, TemporalConfig};
+use hirise::{HiriseConfig, HiriseError, PipelineScratch, Result, ShardPool, TemporalConfig};
 
 use crate::fault::FaultInjector;
 use crate::session::{FrameSource, Session, SessionReport, SessionSpec};
@@ -92,8 +96,10 @@ pub enum ServeError {
     /// (and every other worker still wound down cleanly) instead of an
     /// abort.
     WorkerPanicked {
-        /// The slab shard index of the panicking worker (`0` for the
-        /// serial path).
+        /// The serve participant that was running the panicking frame:
+        /// its index in the pool, which is also the index of the
+        /// scratch it serves with (`0` for the serial path). Which
+        /// participant claims which session varies from run to run.
         worker: usize,
         /// The panic payload, when it was a string.
         message: String,
@@ -386,9 +392,15 @@ pub struct ServeEngine {
     /// Free slot indices (top of the stack is the next admission's
     /// slot); seeded in reverse so slots fill in index order.
     pub(crate) free: Vec<usize>,
-    /// The serial-path scratch, reused across every frame of every
-    /// session.
-    scratch: PipelineScratch,
+    /// One scratch per serve participant, kept across ticks and
+    /// sessions (scratch is frame-local). [`ServeEngine::serve`] uses
+    /// participant 0's; in [`ServeEngine::serve_parallel`] participant
+    /// `i` locks only scratch `i`, so the locks are never contended.
+    scratches: Vec<Mutex<PipelineScratch>>,
+    /// The persistent serve workers: built by the first
+    /// [`ServeEngine::serve_parallel`] call and rebuilt only when its
+    /// worker count changes.
+    pool: Option<ShardPool>,
     pub(crate) ticks: u64,
     pub(crate) admitted: u64,
     pub(crate) rejected: u64,
@@ -412,7 +424,8 @@ impl ServeEngine {
             config,
             slots: (0..max).map(|_| None).collect(),
             free: (0..max).rev().collect(),
-            scratch: PipelineScratch::new(),
+            scratches: vec![Mutex::new(PipelineScratch::new())],
+            pool: None,
             ticks: 0,
             admitted: 0,
             rejected: 0,
@@ -537,28 +550,17 @@ impl ServeEngine {
     /// surfaces as [`ServeError::WorkerPanicked`] instead of unwinding
     /// through the caller.
     pub fn serve(&mut self, budget: u64) -> std::result::Result<u64, ServeError> {
-        let Self { slots, config, scratch, .. } = self;
-        Self::serve_shard(slots, config, scratch, budget, 0)
-    }
-
-    /// The round-robin inner loop shared by the serial path and each
-    /// parallel worker: serves `chunk`'s sessions until dry or `budget`
-    /// is spent. A panic escaping a session (isolation off) is caught
-    /// *here*, once per pass, and surfaced as
-    /// [`ServeError::WorkerPanicked`] tagged with `worker`.
-    fn serve_shard(
-        chunk: &mut [Option<Session>],
-        config: &ServeConfig,
-        scratch: &mut PipelineScratch,
-        budget: u64,
-        worker: usize,
-    ) -> std::result::Result<u64, ServeError> {
-        let mut pass = std::panic::catch_unwind(std::panic::AssertUnwindSafe(
-            || -> std::result::Result<u64, ServeError> {
+        let Self { slots, config, scratches, .. } = self;
+        let config = &*config;
+        // Frames only ever unwind out of the catch below, never while
+        // the lock is held, so the scratch cannot be poisoned.
+        let scratch = scratches[0].get_mut().unwrap_or_else(PoisonError::into_inner);
+        let mut pass =
+            catch_unwind(AssertUnwindSafe(|| -> std::result::Result<u64, ServeError> {
                 let mut served = 0u64;
                 loop {
                     let mut progressed = false;
-                    for session in chunk.iter_mut().flatten() {
+                    for session in slots.iter_mut().flatten() {
                         let mut quantum = config.quantum;
                         while quantum > 0
                             && served < budget
@@ -576,66 +578,92 @@ impl ServeEngine {
                         return Ok(served);
                     }
                 }
-            },
-        ));
+            }));
         if let Err(payload) = &pass {
             pass = Ok(Err(ServeError::WorkerPanicked {
-                worker,
+                worker: 0,
                 message: panic_message(payload.as_ref()),
             }));
         }
         pass.expect("panic converted above")
     }
 
-    /// Drains every queued frame across `workers` threads: the slab is
-    /// split into contiguous slot shards, each served round-robin by one
-    /// worker with its own [`PipelineScratch`] (scratch is frame-local,
-    /// so per-worker reuse is safe in a per-session world). Per-session
-    /// outputs are bit-identical to the serial path at any worker count
-    /// — sessions never share mutable state and levels were stamped at
-    /// enqueue. Returns the frames served.
+    /// Drains every queued frame on `workers` serve participants (`0`
+    /// counts as `1`): the calling thread plus `workers - 1` threads of
+    /// a persistent [`ShardPool`] the engine keeps. The pool is built on
+    /// the first call and rebuilt only when `workers` changes, and
+    /// participant `i` serves with the engine's scratch `i`, which keeps
+    /// its grown buffers across ticks. Participants claim live sessions
+    /// one at a time in slot order and drain each claimed queue to dry,
+    /// so wherever the sessions sit in the slab, no participant idles
+    /// while a session is unclaimed. Per-session outputs are
+    /// bit-identical to the serial path at any worker count: sessions
+    /// never share mutable state, scratch is frame-local, and levels
+    /// were stamped at enqueue. Returns the frames served.
     ///
     /// # Errors
     ///
-    /// The first frame failure (by worker order) is returned; other
-    /// shards still wind down cleanly. A worker that panics outright —
-    /// possible only with [`ServeConfig::isolate_sessions`] off, since
-    /// the per-session boundary otherwise quarantines the panic first —
-    /// surfaces as [`ServeError::WorkerPanicked`] rather than aborting
-    /// the caller: the join below never unwinds.
+    /// A participant that hits a frame failure stops claiming; the
+    /// others drain the rest. Of all failures in the call, the one of
+    /// the lowest slot is returned, which does not depend on the worker
+    /// count. A frame that panics outright (possible only with
+    /// [`ServeConfig::isolate_sessions`] off, since the per-session
+    /// boundary otherwise quarantines the panic first) surfaces as
+    /// [`ServeError::WorkerPanicked`] rather than unwinding through the
+    /// caller, and the pool stays usable: the next call serves whatever
+    /// is still queued.
     pub fn serve_parallel(&mut self, workers: usize) -> std::result::Result<u64, ServeError> {
-        let Self { slots, config, .. } = self;
+        let workers = workers.max(1);
+        // While a pool exists it has one participant per scratch.
+        if self.pool.is_none() || self.scratches.len() != workers {
+            // Join the old workers before spawning the new ones.
+            self.pool = None;
+            self.pool = Some(ShardPool::new(workers));
+            self.scratches.resize_with(workers, Mutex::default);
+        }
+        let Self { slots, config, scratches, pool, .. } = self;
         let config = &*config;
-        let shard = slots.len().div_ceil(workers.max(1));
-        std::thread::scope(|scope| {
-            let mut handles = Vec::new();
-            for (worker, chunk) in slots.chunks_mut(shard).enumerate() {
-                handles.push(scope.spawn(move || -> std::result::Result<u64, ServeError> {
-                    let mut scratch = PipelineScratch::new();
-                    Self::serve_shard(chunk, config, &mut scratch, u64::MAX, worker)
-                }));
-            }
-            let mut total = 0u64;
-            let mut first_error = None;
-            for (worker, handle) in handles.into_iter().enumerate() {
-                // `serve_shard` converts panics into errors, so a join
-                // failure can only come from a panic outside the serve
-                // loop itself — still turned into a structured error
-                // rather than an abort.
-                let outcome = handle.join().unwrap_or_else(|payload| {
-                    Err(ServeError::WorkerPanicked {
-                        worker,
-                        message: panic_message(payload.as_ref()),
-                    })
-                });
-                match outcome {
-                    Ok(n) => total += n,
-                    Err(e) if first_error.is_none() => first_error = Some(e),
-                    Err(_) => {}
+        let pool = pool.as_ref().expect("built above");
+        let claims = Mutex::new(
+            slots.iter_mut().enumerate().filter_map(|(slot, s)| Some((slot, s.as_mut()?))),
+        );
+        let served = AtomicU64::new(0);
+        let failure: Mutex<Option<(usize, ServeError)>> = Mutex::new(None);
+        // Nothing panics while the claim or failure lock is held, and
+        // frames unwind only into the catch below, inside the scratch
+        // lock: none of the three locks can be poisoned.
+        pool.run(workers, &|worker| {
+            let mut scratch = scratches[worker].lock().unwrap_or_else(PoisonError::into_inner);
+            let mut slot = 0;
+            let outcome = catch_unwind(AssertUnwindSafe(|| loop {
+                // A statement of its own, so the claim lock is released
+                // before the session is served.
+                let claim = claims.lock().unwrap_or_else(PoisonError::into_inner).next();
+                let Some((claimed, session)) = claim else {
+                    return Ok(());
+                };
+                slot = claimed;
+                while session.serve_one(config, &mut scratch)? {
+                    // A count only: the pool's check-in publishes it.
+                    served.fetch_add(1, Ordering::Relaxed);
                 }
+            }));
+            let error = match outcome {
+                Ok(Ok(())) => return,
+                Ok(Err(e)) => e,
+                Err(payload) => {
+                    ServeError::WorkerPanicked { worker, message: panic_message(payload.as_ref()) }
+                }
+            };
+            let mut failure = failure.lock().unwrap_or_else(PoisonError::into_inner);
+            if failure.as_ref().is_none_or(|&(first, _)| slot < first) {
+                *failure = Some((slot, error));
             }
-            first_error.map_or(Ok(total), Err)
-        })
+        });
+        match failure.into_inner().unwrap_or_else(PoisonError::into_inner) {
+            Some((_, e)) => Err(e),
+            None => Ok(served.into_inner()),
+        }
     }
 
     /// Runs tick/serve cycles until every admitted session has completed

@@ -9,15 +9,18 @@
 //! * **Session slab** ([`ServeEngine`]): fixed slots, each holding one
 //!   session's [`hirise::temporal::TrackerState`], counters-only
 //!   [`hirise::stream::SequenceSummary`], bounded frame queue, and
-//!   latency reservoir. Workers bring their own
-//!   [`hirise::PipelineScratch`] (frame-local on every path), so the
-//!   steady state serves frames with zero heap allocations — the same
-//!   contract `tests/alloc.rs` pins for the single-session paths.
+//!   latency reservoir. The engine keeps one
+//!   [`hirise::PipelineScratch`] per serve participant across ticks
+//!   (scratch is frame-local, so any session can use any of them), so
+//!   the steady state serves frames without regrowing buffers; the
+//!   serial path makes zero heap allocations per tick, the contract
+//!   `tests/alloc.rs` pins.
 //! * **Scheduler**: tick-driven arrivals into bounded per-session
 //!   queues with backpressure (full queues defer, never drop), drained
 //!   deficit-round-robin — `quantum` frames per session per round — on
-//!   one thread ([`ServeEngine::serve`]) or across slab shards
-//!   ([`ServeEngine::serve_parallel`]).
+//!   the calling thread ([`ServeEngine::serve`]), or on a persistent
+//!   [`hirise::ShardPool`] whose participants claim live sessions in
+//!   slot order and drain each to dry ([`ServeEngine::serve_parallel`]).
 //! * **Admission + graceful degradation** ([`ShedPolicy`]): past the
 //!   hard cap, sessions are refused at the door; past rated load,
 //!   sessions *degrade* instead of dropping — keyframe intervals widen

@@ -213,7 +213,8 @@ fn frame_zero_fault_cold_starts_and_still_recovers() {
 fn disabled_isolation_surfaces_a_structured_worker_panic() {
     // The engine.rs regression: a worker panic must surface as
     // `ServeError::WorkerPanicked`, never abort the caller through a
-    // poisoned join. Serial and parallel paths both.
+    // poisoned join, and must leave the engine and its worker pool
+    // able to serve what is left. Serial and parallel paths both.
     let fault: Arc<dyn FaultInjector> = Arc::new(PanicAt { session: 1, frame: 2 });
     for workers in [None, Some(2), Some(4)] {
         let config = serve_config(4).fault(Arc::clone(&fault)).isolate_sessions(false);
@@ -237,6 +238,29 @@ fn disabled_isolation_surfaces_a_structured_worker_panic() {
         };
         assert!(message.contains("injected fault"), "panic payload lost in transit: {message:?}");
         assert!(error.to_string().contains("panicked"));
+
+        // The same engine keeps serving: the panicking participant left
+        // at least the panicked session's next queued frame behind, and
+        // the next pass serves it on the same pool and scratches.
+        let serve = |engine: &mut ServeEngine| match workers {
+            None => engine.serve(u64::MAX),
+            Some(w) => engine.serve_parallel(w),
+        };
+        let resumed = serve(&mut engine).expect("the pass after a worker panic serves");
+        assert!(resumed > 0, "{workers:?}: frames left queued by the panic were not served");
+        assert_eq!(serve(&mut engine).unwrap(), 0, "{workers:?}: the queues should be dry");
+        for _ in 0..6 {
+            engine.tick();
+            serve(&mut engine).expect("later ticks serve cleanly");
+        }
+        // Every frame but the panicked one (consumed, never folded) was
+        // served.
+        let summary = engine.summary();
+        assert_eq!(summary.frames, 4 * 8 - 1, "{workers:?}: frames lost after the panic");
+        for report in &summary.sessions {
+            let expected = if report.id == SessionId(1) { 7 } else { 8 };
+            assert_eq!(report.summary.frames, expected, "{workers:?}: {}", report.name);
+        }
     }
 }
 

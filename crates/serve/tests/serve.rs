@@ -5,8 +5,8 @@
 use hirise::{HiriseConfig, SensorConfig, TemporalConfig};
 use hirise_imaging::{draw, Rect, RgbImage};
 use hirise_serve::{
-    generate, run_plans, AdmitError, FrameSource, Priority, ServeConfig, ServeEngine, SessionSpec,
-    TrafficConfig,
+    generate, run_plans, AdmitError, FrameSource, Priority, ServeConfig, ServeEngine, ServeError,
+    SessionSpec, TrafficConfig,
 };
 
 const W: u32 = 64;
@@ -178,19 +178,46 @@ fn admission_cap_refuses_at_the_door() {
     assert_eq!(engine.summary().rejected, 2, "\"c\" and \"d\" both hit the cap");
 }
 
-/// Runs the same overloaded fleet under a given serve driver and
-/// returns the per-session summaries in admission order.
+/// Runs the same churning, overloaded fleet under a given serve driver
+/// (called with the tick index) and returns the summary.
+///
+/// Twelve sessions fill slots 0–11 at 3× rated load. The long ones sit
+/// in slots 2, 5, 8 and 11, so once the short ones retire the live
+/// sessions are scattered across the slab with holes below them. Late
+/// admissions at tick 4 then refill freed slots (the free list hands
+/// out the most recently freed, highest slot first), and the shed base
+/// level moves through 3, 0 and 2 as the load changes. The long and
+/// late sessions take 3 frames a tick, more than the quantum, so a
+/// drain must serve each queue past one round-robin turn.
 fn run_fleet_with(
-    drive: impl Fn(&mut ServeEngine) -> Result<u64, hirise_serve::ServeError>,
+    drive: impl Fn(&mut ServeEngine, u64) -> Result<u64, ServeError>,
 ) -> hirise_serve::ServeSummary {
     let mut engine = ServeEngine::new(serve_config(4)).unwrap();
-    admit_fleet(&mut engine, 8, 10);
+    let admit = |engine: &mut ServeEngine, name: String, frames: u32, per_tick: u32, i: u32| {
+        let priority = [Priority::High, Priority::Normal, Priority::Low][i as usize % 3];
+        let spec = SessionSpec::default()
+            .name(name)
+            .frames(frames)
+            .priority(priority)
+            .frames_per_tick(per_tick);
+        engine.admit(spec, FrameSource::Frames(clip(8, i))).unwrap();
+    };
+    for i in 0..12 {
+        let (frames, per_tick) = if i % 3 == 2 { (16, 3) } else { (4, 2) };
+        admit(&mut engine, format!("s{i}"), frames, per_tick, i / 2);
+    }
     loop {
+        if engine.ticks() == 4 {
+            for i in 0..3 {
+                admit(&mut engine, format!("late{i}"), 6, 3, i);
+            }
+        }
         engine.tick();
         if engine.active_sessions() == 0 {
             return engine.summary();
         }
-        drive(&mut engine).unwrap();
+        let tick = engine.ticks();
+        drive(&mut engine, tick).unwrap();
     }
 }
 
@@ -199,17 +226,23 @@ fn per_session_outputs_are_invariant_to_worker_count() {
     // The determinism contract, extended to the serve layer: for a
     // fixed tick schedule (serve-to-dry each tick), the per-session
     // outputs are bit-identical whether the slab is drained serially or
-    // by any number of shard workers. Shed levels were stamped at
-    // enqueue, sessions share no mutable state, and the sensor noise is
+    // by any number of pool participants — fewer or more than the live
+    // sessions, and changing between ticks, which rebuilds the pool.
+    // Shed levels were stamped at enqueue, sessions share no mutable
+    // state, scratch is frame-local, and the sensor noise is
     // position-keyed — nothing observes the scheduling.
-    let serial = run_fleet_with(|e| e.serve(u64::MAX));
+    let serial = run_fleet_with(|e, _| e.serve(u64::MAX));
     assert_eq!(serial.max_shed_level, 3, "fleet must be overloaded for the test to bite");
-    for workers in [1, 2, 4] {
-        let parallel = run_fleet_with(|e| e.serve_parallel(workers));
+    assert_eq!(serial.admitted, 15);
+    assert_eq!(serial.completed, 15);
+    // Tick `t` serves on `schedule[t % schedule.len()]` workers.
+    for schedule in [&[1][..], &[2], &[3], &[8], &[2, 8, 1, 3]] {
+        let parallel =
+            run_fleet_with(|e, t| e.serve_parallel(schedule[t as usize % schedule.len()]));
         assert_eq!(parallel.sessions.len(), serial.sessions.len());
         for (p, s) in parallel.sessions.iter().zip(&serial.sessions) {
             assert_eq!(p.id, s.id);
-            assert_eq!(p.summary, s.summary, "session {} diverged at {workers} workers", s.name);
+            assert_eq!(p.summary, s.summary, "session {} diverged at {schedule:?} workers", s.name);
             assert_eq!(p.max_shed_level, s.max_shed_level);
             assert_eq!(p.deferred, s.deferred);
         }
